@@ -11,7 +11,7 @@ use sushi_core::SushiChip;
 use sushi_sim::EvalOptions;
 use sushi_snn::data::synth_digits;
 use sushi_snn::train::{TrainConfig, Trainer};
-use sushi_ssnn::backend::{InferenceBackend, ScalarBackend};
+use sushi_ssnn::backend::{BitplaneBackend, InferenceBackend, ScalarBackend};
 use sushi_ssnn::binarize::{BinarizedSnn, BinaryLayer};
 use sushi_ssnn::compiler::{Compiler, CompilerConfig};
 use sushi_ssnn::packed::PackedSnn;
@@ -95,10 +95,11 @@ fn bench_ssnn_packed(c: &mut Criterion) {
 fn bench_ssnn_bitplane(c: &mut Criterion) {
     let net = paper_shape_net(0xD1CE);
     let packed = PackedSnn::from_network(&net);
+    let bitplane = BitplaneBackend(&packed);
     let images = spike_images(0xB17E, SSNN_BATCH);
     // Sanity: bitplane results are bitwise identical before we time them.
     assert_eq!(
-        packed.predict_batch_bitplane(&images, 1),
+        bitplane.predict_batch(&images, 1),
         packed.predict_batch(&images, 1)
     );
 
@@ -109,14 +110,14 @@ fn bench_ssnn_bitplane(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(3)).sample_size(20);
     g.throughput(Throughput::Elements(SSNN_BATCH as u64));
     g.bench_function("bitplane_predict_batch64_784_800_10", |b| {
-        b.iter(|| packed.predict_batch_bitplane(&images, 1))
+        b.iter(|| bitplane.predict_batch(&images, 1))
     });
     g.bench_function("packed_predict_batch64_784_800_10", |b| {
         b.iter(|| packed.predict_batch(&images, 1))
     });
     g.throughput(Throughput::Elements(8));
     g.bench_function("bitplane_predict_batch8_784_800_10", |b| {
-        b.iter(|| packed.predict_batch_bitplane(&images[..8], 1))
+        b.iter(|| bitplane.predict_batch(&images[..8], 1))
     });
     g.finish();
 }

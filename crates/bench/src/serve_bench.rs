@@ -18,7 +18,7 @@ use std::time::Duration;
 use sushi_serve::loadgen::{self, LoadReport};
 use sushi_serve::{ServeConfig, Server};
 use sushi_sim::Json;
-use sushi_ssnn::{PackedLayer, PackedSnn};
+use sushi_ssnn::{InferenceBackend, PackedLayer, PackedSnn};
 
 /// Images cycled through by the load generators.
 const IMAGES: usize = 64;

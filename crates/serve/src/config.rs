@@ -127,13 +127,6 @@ impl ServeConfig {
         self
     }
 
-    /// Alias for [`ServeConfig::executors`], kept from the
-    /// single-queue pipeline where per-batch inference workers were the
-    /// only parallelism knob.
-    pub fn workers(self, workers: usize) -> Self {
-        self.executors(workers)
-    }
-
     /// Sets the serving backend.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
@@ -165,13 +158,6 @@ mod tests {
         assert_eq!(cfg.shards, 1);
         assert_eq!(cfg.executors, 1);
         assert_eq!(cfg.bitplane_min_batch, 1);
-    }
-
-    #[test]
-    fn workers_aliases_executors() {
-        let cfg = ServeConfig::new().workers(7);
-        assert_eq!(cfg.executors, 7);
-        assert_eq!(ServeConfig::new().workers(0).executors, 1);
     }
 
     #[test]

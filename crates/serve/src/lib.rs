@@ -20,7 +20,7 @@
 //!   requests wait on a shard (size trigger) or its oldest has waited
 //!   `max_delay` (deadline trigger); executors steal ripe batches from
 //!   sibling shards. Served predictions are bitwise identical to
-//!   offline [`sushi_ssnn::PackedSnn::predict_batch`] for every shard
+//!   offline [`sushi_ssnn::PackedSnn::predict_batch_packed`] for every shard
 //!   and executor count.
 //! * **Admission control / backpressure** — total queued requests are
 //!   bounded (`queue_capacity`, tracked by a lock-free gauge); a

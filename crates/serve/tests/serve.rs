@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use sushi_serve::loadgen;
 use sushi_serve::{ServeConfig, ServeError, Server};
-use sushi_ssnn::{Backend, PackedLayer, PackedSnn};
+use sushi_ssnn::{Backend, InferenceBackend, PackedLayer, PackedSnn};
 
 /// A deterministic 32-16-10 packed network (xorshift weights, the same
 /// recipe as the benchmark fixtures, scaled down for test speed).
@@ -61,7 +61,7 @@ fn served_predictions_match_offline_batch_bitwise() {
         ServeConfig::new()
             .max_batch(8)
             .max_delay(Duration::from_millis(1))
-            .workers(1),
+            .executors(1),
     );
     let handle = server.handle();
     // Hammer from several client threads so requests actually coalesce.
@@ -102,7 +102,7 @@ fn bitplane_served_classes_match_offline_batch_bitwise() {
         ServeConfig::new()
             .max_batch(8)
             .max_delay(Duration::from_millis(1))
-            .workers(1)
+            .executors(1)
             .backend(Backend::Bitplane)
             .bitplane_min_batch(1),
     );
@@ -145,7 +145,7 @@ fn packed_backend_never_takes_the_bitplane_path() {
         ServeConfig::new()
             .max_batch(4)
             .max_delay(Duration::from_millis(1))
-            .workers(1)
+            .executors(1)
             .backend(Backend::Packed),
     );
     let handle = server.handle();
@@ -200,7 +200,7 @@ fn deadline_trigger_dispatches_partial_batch() {
         ServeConfig::new()
             .max_batch(1024)
             .max_delay(Duration::from_millis(5))
-            .workers(1),
+            .executors(1),
     );
     let handle = server.handle();
     let start = std::time::Instant::now();
@@ -223,7 +223,7 @@ fn full_queue_sheds_with_structured_error() {
             .max_batch(5)
             .max_delay(Duration::from_secs(60))
             .queue_capacity(2)
-            .workers(1),
+            .executors(1),
     );
     let handle = server.handle();
     let outcomes: Vec<Result<_, ServeError>> = std::thread::scope(|scope| {
@@ -263,7 +263,7 @@ fn full_queue_sheds_with_structured_error() {
 #[test]
 fn wrong_frame_width_is_rejected_before_queueing() {
     let snn = test_net(0xF00D);
-    let server = Server::start(snn, ServeConfig::new().workers(1));
+    let server = Server::start(snn, ServeConfig::new().executors(1));
     let handle = server.handle();
     let err = handle.predict(vec![vec![true; 7]]).unwrap_err();
     assert!(matches!(err, ServeError::BadRequest(_)));
@@ -280,7 +280,7 @@ fn shutdown_drains_admitted_requests_and_stops_admission() {
         ServeConfig::new()
             .max_batch(3)
             .max_delay(Duration::from_millis(1))
-            .workers(1),
+            .executors(1),
     );
     let handle = server.handle();
     let served: Vec<usize> = std::thread::scope(|scope| {
@@ -316,7 +316,7 @@ fn socket_round_trip_matches_in_process_serving() {
         ServeConfig::new()
             .max_batch(4)
             .max_delay(Duration::from_millis(1))
-            .workers(1),
+            .executors(1),
     );
     let path = std::env::temp_dir().join(format!("sushi-serve-test-{}.sock", std::process::id()));
     let socket = SocketServer::bind(&path, server.handle()).expect("bind socket");
@@ -339,7 +339,7 @@ fn loadgen_closed_loop_smoke() {
         ServeConfig::new()
             .max_batch(8)
             .max_delay(Duration::from_micros(200))
-            .workers(1),
+            .executors(1),
     );
     let report = loadgen::closed_loop(&server.handle(), &images, 2, Duration::from_millis(100));
     assert_eq!(report.mode, "closed");
@@ -362,7 +362,7 @@ fn loadgen_open_loop_measures_from_scheduled_arrival() {
         ServeConfig::new()
             .max_batch(8)
             .max_delay(Duration::from_micros(200))
-            .workers(1),
+            .executors(1),
     );
     let report = loadgen::open_loop(
         &server.handle(),

@@ -59,7 +59,6 @@ use crate::json::Json;
 use crate::netlist::Netlist;
 use crate::observe::{ActivityProfiler, HotCellEntry};
 use crate::stimulus::Stimulus;
-use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
 use std::time::Instant;
 use sushi_cells::{CellLibrary, Ps};
@@ -70,32 +69,6 @@ use sushi_cells::{CellLibrary, Ps};
 /// multiplier (2^64 / phi) decorrelates neighbouring indices.
 pub fn item_seed(base: u64, index: usize) -> u64 {
     base ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Splits `0..items` into at most `workers` contiguous, non-empty ranges
-/// of near-equal length (sizes differ by at most one, longer ranges
-/// first) — the chunk plan every batch fan-out in this workspace spawns
-/// threads from.
-///
-/// The effective worker count is clamped to the item count, so the plan
-/// never contains an empty range and a batch never spawns more threads
-/// than it has items. (The old `div_ceil` chunking spawned one thread per
-/// item whenever `workers > items`, and could leave configured workers
-/// idle: 10 items on 6 workers became 5 chunks of 2.)
-pub fn chunk_plan(items: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let workers = workers.clamp(1, items.max(1));
-    let base = items / workers;
-    let extra = items % workers;
-    let mut start = 0;
-    (0..workers)
-        .map(|w| {
-            let len = base + usize::from(w < extra);
-            let r = start..start + len;
-            start += len;
-            r
-        })
-        .filter(|r| !r.is_empty())
-        .collect()
 }
 
 /// Runs batches of stimulus sets over one netlist on a worker pool.
@@ -197,30 +170,13 @@ impl<'a> BatchRunner<'a> {
     /// Propagates a panic from a worker thread (none originate in the
     /// simulator itself).
     pub fn run(&self, items: &[Stimulus]) -> Result<Vec<SimOutcome>, SimError> {
-        let plan = chunk_plan(items.len(), self.workers);
-        if plan.len() <= 1 {
-            return self.run_sequential(items);
-        }
         let mut slots: Vec<Option<Result<SimOutcome, SimError>>> = vec![None; items.len()];
-        let run_chunk =
-            |start: usize, items: &[Stimulus], out: &mut [Option<Result<SimOutcome, SimError>>]| {
-                let mut sim = self.make_simulator();
-                for (off, (item, slot)) in items.iter().zip(out.iter_mut()).enumerate() {
-                    *slot = Some(self.run_item(&mut sim, start + off, item));
-                }
-            };
-        let run_chunk = &run_chunk;
-        crossbeam::thread::scope(|s| {
-            let mut rest = slots.as_mut_slice();
-            for r in &plan {
-                let (slot_chunk, tail) = rest.split_at_mut(r.len());
-                rest = tail;
-                let item_chunk = &items[r.clone()];
-                let start = r.start;
-                s.spawn(move |_| run_chunk(start, item_chunk, slot_chunk));
+        sushi_par::fan_out(items, &mut slots, self.workers, 1, |start, items, out| {
+            let mut sim = self.make_simulator();
+            for (off, (item, slot)) in items.iter().zip(out.iter_mut()).enumerate() {
+                *slot = Some(self.run_item(&mut sim, start + off, item));
             }
-        })
-        .expect("batch worker panicked");
+        });
         slots
             .into_iter()
             .map(|slot| slot.expect("every slot written by its worker"))
@@ -266,43 +222,25 @@ impl<'a> BatchRunner<'a> {
     ) -> Result<(Vec<SimOutcome>, BatchReport), SimError> {
         let t0 = Instant::now();
         let mut slots: Vec<Option<Result<SimOutcome, SimError>>> = vec![None; items.len()];
-        let plan = chunk_plan(items.len(), self.workers);
-        // Per spawned worker: its activity profile and busy wall time.
-        let mut worker_data: Vec<Option<(ActivityProfiler, f64)>> = Vec::new();
-        let run_chunk = |start: usize,
-                         items: &[Stimulus],
-                         out: &mut [Option<Result<SimOutcome, SimError>>],
-                         data: &mut Option<(ActivityProfiler, f64)>| {
-            let w0 = Instant::now();
-            let mut sim = self.make_simulator();
-            sim.attach_observer(ActivityProfiler::new());
-            for (off, (item, slot)) in items.iter().zip(out.iter_mut()).enumerate() {
-                *slot = Some(self.run_item(&mut sim, start + off, item));
-            }
-            let profiler = sim
-                .take_observer_as::<ActivityProfiler>()
-                .expect("worker attached a profiler");
-            *data = Some((profiler, w0.elapsed().as_secs_f64()));
-        };
-        if plan.len() <= 1 {
-            // Zero or one chunk: run on the calling thread.
-            worker_data.push(None);
-            run_chunk(0, items, &mut slots, &mut worker_data[0]);
-        } else {
-            worker_data.resize_with(plan.len(), || None);
-            let run_chunk = &run_chunk;
-            crossbeam::thread::scope(|s| {
-                let mut rest = slots.as_mut_slice();
-                for (r, data) in plan.iter().zip(worker_data.iter_mut()) {
-                    let (slot_chunk, tail) = rest.split_at_mut(r.len());
-                    rest = tail;
-                    let item_chunk = &items[r.clone()];
-                    let start = r.start;
-                    s.spawn(move |_| run_chunk(start, item_chunk, slot_chunk, data));
+        // Per range, in plan order: its item range, activity profile and
+        // busy wall time.
+        let worker_data =
+            sushi_par::fan_out(items, &mut slots, self.workers, 1, |start, items, out| {
+                let w0 = Instant::now();
+                let mut sim = self.make_simulator();
+                sim.attach_observer(ActivityProfiler::new());
+                for (off, (item, slot)) in items.iter().zip(out.iter_mut()).enumerate() {
+                    *slot = Some(self.run_item(&mut sim, start + off, item));
                 }
-            })
-            .expect("batch worker panicked");
-        }
+                let profiler = sim
+                    .take_observer_as::<ActivityProfiler>()
+                    .expect("worker attached a profiler");
+                (
+                    start..start + items.len(),
+                    profiler,
+                    w0.elapsed().as_secs_f64(),
+                )
+            });
         let wall_s = t0.elapsed().as_secs_f64();
         let outcomes = slots
             .into_iter()
@@ -311,9 +249,11 @@ impl<'a> BatchRunner<'a> {
 
         let mut merged = ActivityProfiler::new();
         let mut workers = Vec::new();
-        for (wi, (r, data)) in plan.iter().zip(worker_data).enumerate() {
-            let chunk_out = &outcomes[r.clone()];
-            let (profiler, worker_wall_s) = data.expect("worker recorded its profile");
+        for (wi, (r, profiler, worker_wall_s)) in worker_data.into_iter().enumerate() {
+            if r.is_empty() {
+                continue;
+            }
+            let chunk_out = &outcomes[r];
             merged.merge(&profiler);
             let events_delivered = chunk_out.iter().map(|o| o.stats.events_delivered).sum();
             let sim_time_ps = chunk_out.iter().map(|o| o.stats.final_time_ps).sum();
@@ -359,7 +299,7 @@ impl<'a> BatchRunner<'a> {
 
 /// Metrics for one batch worker thread, collected by
 /// [`BatchRunner::run_with_report`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerMetrics {
     /// Worker index (chunk order).
     pub worker: usize,
@@ -394,7 +334,7 @@ impl WorkerMetrics {
 
 /// The aggregate metrics report of one batch run: per-worker throughput,
 /// utilization, violation counts, and the merged hot-cell top-N.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// Items simulated.
     pub items: usize,
@@ -558,6 +498,8 @@ mod tests {
 
     #[test]
     fn chunk_plan_is_clamped_balanced_and_covering() {
+        // `BatchRunner` splits its items with this plan (via `fan_out`).
+        use sushi_par::chunk_plan;
         assert!(chunk_plan(0, 4).is_empty());
         for (items, workers) in [(1, 1), (1, 8), (3, 16), (5, 4), (10, 6), (100, 7), (7, 7)] {
             let plan = chunk_plan(items, workers);

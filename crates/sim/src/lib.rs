@@ -48,7 +48,7 @@ pub mod stimulus;
 pub mod vcd;
 pub mod waveform;
 
-pub use batch::{chunk_plan, BatchReport, BatchRunner, WorkerMetrics};
+pub use batch::{BatchReport, BatchRunner, WorkerMetrics};
 pub use config::{EvalOptions, SimConfig};
 pub use engine::{Fault, SimError, SimOutcome, SimStats, Simulator, Violation, ViolationReport};
 pub use json::{Json, JsonError};

@@ -1,6 +1,6 @@
 //! A persistent worker pool for the training hot path.
 //!
-//! [`Matrix`](crate::Matrix) kernels used to spawn fresh crossbeam threads
+//! [`Matrix`](crate::Matrix) kernels used to spawn fresh scoped threads
 //! for every sufficiently large matmul — tens of spawns per training batch.
 //! This module replaces that with a long-lived pool: threads are spawned
 //! once (per [`WorkerPool`], or once per process for the
@@ -11,12 +11,12 @@
 //!
 //! The pool executes *chunk plans*: disjoint, contiguous ranges of output
 //! rows whose boundaries depend only on the problem shape (via
-//! [`chunk_plan`]), never on the worker count. Every output element is
-//! produced entirely by one task running the same sequential kernel, so
-//! results are bitwise identical for any pool size — a 1-worker pool, the
-//! host-sized shared pool, and an oversubscribed 7-worker pool all return
-//! the same bits. `training_is_worker_invariant` in `tests/properties.rs`
-//! pins this end to end.
+//! [`sushi_par::chunk_plan`]), never on the worker count. Every output
+//! element is produced entirely by one task running the same sequential
+//! kernel, so results are bitwise identical for any pool size — a
+//! 1-worker pool, the host-sized shared pool, and an oversubscribed
+//! 7-worker pool all return the same bits. `training_is_worker_invariant`
+//! in `tests/properties.rs` pins this end to end.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,31 +27,6 @@ use std::thread::JoinHandle;
 /// which is sound because `run` does not return until every submitted job
 /// has finished.
 type Job = Box<dyn FnOnce() + Send>;
-
-/// Splits `0..items` into at most `workers` contiguous, non-empty ranges
-/// of near-equal length (sizes differ by at most one, longer ranges
-/// first).
-///
-/// This mirrors `sushi_sim::chunk_plan` — the chunking contract every
-/// batch fan-out in the workspace shares — without taking a dependency on
-/// the simulator crate from the base ML crate. The effective worker count
-/// is clamped to the item count, so the plan never contains an empty
-/// range.
-pub fn chunk_plan(items: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let workers = workers.clamp(1, items.max(1));
-    let base = items / workers;
-    let extra = items % workers;
-    let mut start = 0;
-    (0..workers)
-        .map(|w| {
-            let len = base + usize::from(w < extra);
-            let r = start..start + len;
-            start += len;
-            r
-        })
-        .filter(|r| !r.is_empty())
-        .collect()
-}
 
 /// Shared queue state between the pool handle and its worker threads.
 struct Shared {
@@ -285,6 +260,9 @@ mod tests {
 
     #[test]
     fn chunk_plan_is_clamped_balanced_and_covering() {
+        // The matmul kernels cut their output rows into pool tasks with
+        // this plan.
+        use sushi_par::chunk_plan;
         assert!(chunk_plan(0, 4).is_empty());
         for (items, workers) in [(1, 1), (5, 2), (10, 6), (7, 7), (3, 9), (16, 4)] {
             let plan = chunk_plan(items, workers);

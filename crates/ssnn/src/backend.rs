@@ -30,15 +30,15 @@
 //! assert_eq!("bitplane".parse::<Backend>(), Ok(Backend::Bitplane));
 //! ```
 
+use crate::batchplane::BitplaneScratch;
 use crate::binarize::BinarizedSnn;
-use crate::packed::{chunk_plan, PackedSnn};
-use serde::{Deserialize, Serialize};
+use crate::packed::{PackedFrames, PackedSnn};
 use std::fmt;
 use std::str::FromStr;
 
 /// Which inference engine to run. All three are bitwise identical; the
 /// choice only affects throughput.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// The `Vec<i8>` × `Vec<bool>` reference path — the oracle every
     /// fast path must match. Slow; for validation and debugging.
@@ -160,34 +160,26 @@ pub trait InferenceBackend: Sync {
         Self: Sized,
     {
         let mut preds = vec![0usize; items.len()];
-        let plan = chunk_plan(items.len(), workers);
-        if plan.len() <= 1 {
-            for (item, slot) in items.iter().zip(preds.iter_mut()) {
+        sushi_par::fan_out(items, &mut preds, workers, 1, |_, items, out| {
+            for (item, slot) in items.iter().zip(out.iter_mut()) {
                 *slot = self.predict(item.as_ref());
             }
-            return preds;
-        }
-        crossbeam::thread::scope(|scope| {
-            let mut rest = preds.as_mut_slice();
-            for r in &plan {
-                let (out_chunk, tail) = rest.split_at_mut(r.len());
-                rest = tail;
-                let item_chunk = &items[r.clone()];
-                scope.spawn(move |_| {
-                    for (item, slot) in item_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = self.predict(item.as_ref());
-                    }
-                });
-            }
-        })
-        .expect("predict_batch worker panicked");
+        });
         preds
     }
 }
 
-/// The packed per-image engine as a backend (its inherent methods are
-/// already the trait shape — including the scratch-reusing parallel
-/// `predict_batch`).
+/// Packs every item's bool frames at the edge (`width` bits per frame).
+fn pack_items<I: AsRef<[Vec<bool>]>>(width: usize, items: &[I]) -> Vec<PackedFrames> {
+    items
+        .iter()
+        .map(|it| PackedFrames::from_bool_frames(width, it.as_ref()))
+        .collect()
+}
+
+/// The packed per-image engine as a backend: bool items are packed at
+/// the edge and run through the scratch-reusing parallel
+/// [`PackedSnn::predict_batch_packed`].
 impl InferenceBackend for PackedSnn {
     fn classes(&self) -> usize {
         PackedSnn::classes(self)
@@ -205,7 +197,7 @@ impl InferenceBackend for PackedSnn {
     where
         I: AsRef<[Vec<bool>]> + Sync,
     {
-        PackedSnn::predict_batch(self, items, workers)
+        self.predict_batch_packed(&pack_items(self.input_width(), items), workers)
     }
 }
 
@@ -241,9 +233,10 @@ impl InferenceBackend for ScalarBackend<'_> {
     }
 }
 
-/// The 64-image bitplane batch engine as a backend. Single-item calls
-/// run as one-lane batches (correct, but paying the transpose for
-/// nothing); `predict_batch` is where it earns its keep.
+/// The 64-image bitplane batch engine as a backend: bool items are packed
+/// at the edge. Single-item calls run as one-lane batches (correct, but
+/// paying the transpose for nothing); `predict_batch` is where it earns
+/// its keep.
 #[derive(Debug, Clone, Copy)]
 pub struct BitplaneBackend<'a>(pub &'a PackedSnn);
 
@@ -253,17 +246,22 @@ impl InferenceBackend for BitplaneBackend<'_> {
     }
 
     fn forward_counts(&self, frames: &[Vec<bool>]) -> Vec<u32> {
-        self.0
-            .forward_counts_bitplane(&[frames])
-            .pop()
-            .expect("one item in, one count vector out")
+        let mut counts = [Vec::new()];
+        self.0.bitplane_group_counts_packed(
+            &pack_items(self.0.input_width(), &[frames]),
+            &mut BitplaneScratch::new(),
+            &mut counts,
+        );
+        let [counts] = counts;
+        counts
     }
 
     fn predict_batch<I>(&self, items: &[I], workers: usize) -> Vec<usize>
     where
         I: AsRef<[Vec<bool>]> + Sync,
     {
-        self.0.predict_batch_bitplane(items, workers)
+        self.0
+            .predict_batch_bitplane_packed(&pack_items(self.0.input_width(), items), workers)
     }
 }
 
@@ -409,7 +407,7 @@ mod tests {
         // The default (chunked per-item) batch path agrees too.
         assert_eq!(
             InferenceBackend::predict_batch(&net, &data, 4),
-            packed.predict_batch(&data, 4),
+            InferenceBackend::predict_batch(&packed, &data, 4),
         );
         assert_eq!(
             InferenceBackend::forward_counts(&net, &data[0]),

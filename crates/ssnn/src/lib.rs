@@ -22,8 +22,9 @@
 //!   chip-sized slices executed in time order (Fig. 15);
 //! * [`packed`] — the bit-packed XNOR/popcount inference engine: sign
 //!   columns and spike frames as `u64` words, 64 synapses per word-op,
-//!   bitwise identical to the scalar reference, with a deterministic
-//!   parallel `predict_batch`;
+//!   bitwise identical to the scalar reference; [`PackedFrames`] is its
+//!   only multi-frame input and `predict_batch_packed` its deterministic
+//!   parallel batch entry;
 //! * [`batchplane`] — the image-major bitplane batch engine: the same
 //!   bit position of up to 64 images per `u64` word, weight-stationary
 //!   sweeps amortizing mask loads across the batch, with an

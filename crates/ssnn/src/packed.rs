@@ -22,11 +22,14 @@
 //! bits past `inputs` are kept zero by construction on both the column
 //! and the frame side.
 //!
-//! [`PackedSnn::predict_batch`] fans a dataset over scoped worker threads
-//! in the `sushi_sim::BatchRunner` style: items are assigned to workers in
-//! contiguous chunks and each worker writes only its own output slots, so
-//! the merged prediction vector is in input order and — predictions being
-//! pure functions of the item — bitwise identical for any worker count.
+//! [`PackedFrames`] is the engine's only multi-frame input; bool frames
+//! are packed at the edge ([`PackedSnn::predict`],
+//! [`PackedSnn::forward_counts`], [`PackedSnn::step`]).
+//! [`PackedSnn::predict_batch_packed`] fans a dataset over
+//! [`sushi_par::fan_out`]: items are assigned to workers in contiguous
+//! chunks and each worker writes only its own output slots, so the merged
+//! prediction vector is in input order and — predictions being pure
+//! functions of the item — bitwise identical for any worker count.
 //!
 //! # Examples
 //!
@@ -42,13 +45,42 @@
 
 use crate::backend::argmax_low;
 use crate::binarize::BinarizedSnn;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
+
+/// Packs `bits` LSB-first into `dst`, one `u64` per 64 bools (bit `i` in
+/// `dst[i / 64]` at position `i % 64`); pad bits past `bits.len()` come
+/// out zero.
+///
+/// Packing runs once per frame on every bool edge, so it packs 8 bools
+/// per multiply: with one 0x00/0x01 byte per bool, byte `i` of
+/// `octet * PACK_MUL` lands on bit `56 + i` (the exponents `56 - 7i`
+/// admit no cross terms, so no carries), making the high byte the
+/// LSB-first packed octet.
+fn pack_bools(bits: &[bool], dst: &mut [u64]) {
+    const PACK_MUL: u64 = 0x0102_0408_1020_4080;
+    debug_assert_eq!(dst.len(), bits.len().div_ceil(64));
+    // SAFETY: `bool` is a single byte with the guaranteed representation
+    // 0x00 / 0x01, so reading the slice as bytes is sound.
+    let bytes: &[u8] = unsafe { core::slice::from_raw_parts(bits.as_ptr().cast(), bits.len()) };
+    for (word, chunk) in dst.iter_mut().zip(bytes.chunks(64)) {
+        let mut w = 0u64;
+        let mut octets = chunk.chunks_exact(8);
+        for (k, octet) in octets.by_ref().enumerate() {
+            let m = u64::from_le_bytes(octet.try_into().expect("8-byte chunk"));
+            w |= (m.wrapping_mul(PACK_MUL) >> 56) << (k * 8);
+        }
+        let done = chunk.len() & !7;
+        for (b, &v) in octets.remainder().iter().enumerate() {
+            w |= u64::from(v) << (done + b);
+        }
+        *word = w;
+    }
+}
 
 /// One input (or spike) frame packed 64 bools per `u64` word, little-end
 /// first: bit `i` lives in `words[i / 64]` at position `i % 64`. Pad bits
 /// past `len` are always zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackedFrame {
     len: usize,
     words: Vec<u64>,
@@ -71,30 +103,9 @@ impl PackedFrame {
     }
 
     /// Repacks `bits` into this frame, reusing its allocation.
-    ///
-    /// Branchless word-at-a-time packing: per-bit `if b { set }` costs a
-    /// mispredict per spike on dense frames and dominated `predict` at
-    /// the paper shape (~a third of the packed path) before this.
     pub fn fill_from_bools(&mut self, bits: &[bool]) {
         self.reset(bits.len());
-        let mut chunks = bits.chunks_exact(64);
-        let mut w = 0;
-        for chunk in &mut chunks {
-            let mut word = 0u64;
-            for (bit, &b) in chunk.iter().enumerate() {
-                word |= u64::from(b) << bit;
-            }
-            self.words[w] = word;
-            w += 1;
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut word = 0u64;
-            for (bit, &b) in rem.iter().enumerate() {
-                word |= u64::from(b) << bit;
-            }
-            self.words[w] = word;
-        }
+        pack_bools(bits, &mut self.words);
     }
 
     /// Resizes to `len` bits, all zero.
@@ -167,7 +178,7 @@ impl PackedFrame {
 /// `reset` + `push_frame_*` reuse the word allocation, so a long-lived
 /// holder (a serving connection, a load-generator client) refills one
 /// of these allocation-free.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackedFrames {
     width: usize,
     words_per_frame: usize,
@@ -240,8 +251,7 @@ impl PackedFrames {
         (0..self.count).map(move |t| self.frame(t))
     }
 
-    /// Appends one frame from bools (branchless word-at-a-time packing,
-    /// the [`PackedFrame::fill_from_bools`] inner loop).
+    /// Appends one frame from bools.
     ///
     /// # Panics
     ///
@@ -250,25 +260,7 @@ impl PackedFrames {
         assert_eq!(bits.len(), self.width, "frame width mismatch");
         let base = self.words.len();
         self.words.resize(base + self.words_per_frame, 0);
-        let dst = &mut self.words[base..];
-        let mut chunks = bits.chunks_exact(64);
-        let mut w = 0;
-        for chunk in &mut chunks {
-            let mut word = 0u64;
-            for (bit, &b) in chunk.iter().enumerate() {
-                word |= u64::from(b) << bit;
-            }
-            dst[w] = word;
-            w += 1;
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut word = 0u64;
-            for (bit, &b) in rem.iter().enumerate() {
-                word |= u64::from(b) << bit;
-            }
-            dst[w] = word;
-        }
+        pack_bools(bits, &mut self.words[base..]);
         self.count += 1;
     }
 
@@ -346,7 +338,7 @@ impl PackedFrames {
 /// Built once from the row-major sign matrix; [`crate::BinaryLayer`]
 /// carries one alongside its scalar signs so every consumer can pick the
 /// 64-wide path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedLayer {
     inputs: usize,
     outputs: usize,
@@ -765,8 +757,9 @@ impl PackedLayer {
 /// [`PackedSnn::predict`] builds one internally per call; a long-running
 /// consumer (the batch engine's workers, `sushi-serve`'s inference loop)
 /// holds one per thread and passes it to
-/// [`PackedSnn::predict_with`] / [`PackedSnn::forward_counts_with`] so
-/// steady-state inference stays allocation-free across requests.
+/// [`PackedSnn::predict_packed_with`] /
+/// [`PackedSnn::forward_counts_packed_into`] so steady-state inference
+/// stays allocation-free across requests.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
     x: PackedFrame,
@@ -783,33 +776,12 @@ impl PredictScratch {
     }
 }
 
-/// Splits `0..items` into at most `workers` contiguous, non-empty,
-/// near-equal ranges (clamped to the item count, so a batch never spawns
-/// more threads than it has items). Mirrors
-/// `sushi_sim::batch::chunk_plan` — kept local because this crate is
-/// deliberately independent of the simulator.
-pub(crate) fn chunk_plan(items: usize, workers: usize) -> Vec<Range<usize>> {
-    let workers = workers.clamp(1, items.max(1));
-    let base = items / workers;
-    let extra = items % workers;
-    let mut start = 0;
-    (0..workers)
-        .map(|w| {
-            let len = base + usize::from(w < extra);
-            let r = start..start + len;
-            start += len;
-            r
-        })
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
 /// A fully bit-packed network: the XNOR/popcount inference engine.
 ///
 /// Built from a [`BinarizedSnn`]; every result is bitwise identical to the
 /// scalar path ([`BinarizedSnn::step_scalar`] /
 /// [`crate::backend::ScalarBackend`]), which is kept as the oracle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedSnn {
     layers: Vec<PackedLayer>,
 }
@@ -856,13 +828,6 @@ impl PackedSnn {
         self.layers.first().expect("non-empty").inputs()
     }
 
-    fn step_scratch(&self, s: &mut PredictScratch) {
-        for layer in &self.layers {
-            layer.step_into(&s.x, &mut s.y, &mut s.acc);
-            std::mem::swap(&mut s.x, &mut s.y);
-        }
-    }
-
     /// One stateless time step with end-of-step firing, 64 synapses per
     /// word-op.
     ///
@@ -872,52 +837,35 @@ impl PackedSnn {
     pub fn step(&self, input: &[bool]) -> Vec<bool> {
         let mut s = PredictScratch::default();
         s.x.fill_from_bools(input);
-        self.step_scratch(&mut s);
+        for layer in &self.layers {
+            layer.step_into(&s.x, &mut s.y, &mut s.acc);
+            std::mem::swap(&mut s.x, &mut s.y);
+        }
         s.x.to_bools()
     }
 
-    /// [`PackedSnn::forward_counts`] with caller-owned buffers: reuse one
-    /// [`PredictScratch`] across calls to keep per-request inference
-    /// allocation-free.
+    /// Runs `frames`, returning per-class spike counts: packs them at the
+    /// edge and calls [`PackedSnn::forward_counts_packed`].
     ///
     /// # Panics
     ///
-    /// Panics on input-width mismatch.
-    pub fn forward_counts_with(&self, frames: &[Vec<bool>], s: &mut PredictScratch) -> Vec<u32> {
-        let mut counts = vec![0u32; self.classes()];
-        for f in frames {
-            s.x.fill_from_bools(f);
-            self.step_scratch(s);
-            for (j, c) in counts.iter_mut().enumerate() {
-                *c += u32::from(s.x.get(j));
-            }
-        }
-        counts
-    }
-
-    /// Runs `frames`, returning per-class spike counts.
+    /// Panics if a frame's width is not [`PackedSnn::input_width`].
     pub fn forward_counts(&self, frames: &[Vec<bool>]) -> Vec<u32> {
-        self.forward_counts_with(frames, &mut PredictScratch::default())
+        self.forward_counts_packed(&PackedFrames::from_bool_frames(self.input_width(), frames))
     }
 
     /// Predicted class for `frames` (argmax of spike counts, ties to the
     /// lowest index — the same rule as the scalar and float references).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a frame's width is not [`PackedSnn::input_width`].
     pub fn predict(&self, frames: &[Vec<bool>]) -> usize {
         argmax_low(&self.forward_counts(frames))
     }
 
-    /// [`PackedSnn::predict`] with caller-owned buffers — the per-request
-    /// entry point of the serving layer, bitwise identical to `predict`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch.
-    pub fn predict_with(&self, frames: &[Vec<bool>], s: &mut PredictScratch) -> usize {
-        argmax_low(&self.forward_counts_with(frames, s))
-    }
-
-    /// Like [`PackedSnn::step_scratch`] but with the input frame borrowed
-    /// as raw packed words: the first layer consumes `xw` directly, so a
+    /// One time step through every layer with the input frame borrowed as
+    /// raw packed words: the first layer consumes `xw` directly, so a
     /// [`PackedFrames`] payload feeds the engine with no copy at all.
     fn step_scratch_words(&self, xw: &[u64], s: &mut PredictScratch) {
         let mut layers = self.layers.iter();
@@ -931,10 +879,10 @@ impl PackedSnn {
         }
     }
 
-    /// [`PackedSnn::forward_counts_with`] for an already-packed frame
-    /// sequence, written into a caller-owned `counts` buffer (cleared and
-    /// resized here) — the fully allocation-free inner loop of the
-    /// serving layer. Bitwise identical to the bool path.
+    /// Per-class spike counts of an already-packed frame sequence,
+    /// written into a caller-owned `counts` buffer (cleared and resized
+    /// here) with caller-owned scratch — the fully allocation-free inner
+    /// loop of the serving layer.
     ///
     /// # Panics
     ///
@@ -983,9 +931,11 @@ impl PackedSnn {
         class
     }
 
-    /// [`PackedSnn::predict_batch`] for already-packed items: contiguous
-    /// near-equal chunks, one scratch per worker, input-ordered and
-    /// worker-count invariant — and bitwise identical to the bool path.
+    /// Predicts every item of a dataset on at most `workers` threads
+    /// ([`sushi_par::fan_out`]): contiguous near-equal chunks, one scratch
+    /// per worker, each worker writing only its own output slots — so the
+    /// result is input-ordered and bitwise identical for any worker count
+    /// (`workers <= 1` runs on the calling thread).
     ///
     /// # Panics
     ///
@@ -993,77 +943,12 @@ impl PackedSnn {
     /// originate in the engine itself).
     pub fn predict_batch_packed(&self, items: &[PackedFrames], workers: usize) -> Vec<usize> {
         let mut preds = vec![0usize; items.len()];
-        let plan = chunk_plan(items.len(), workers);
-        if plan.len() <= 1 {
+        sushi_par::fan_out(items, &mut preds, workers, 1, |_, items, out| {
             let mut s = PredictScratch::default();
-            for (item, slot) in items.iter().zip(preds.iter_mut()) {
+            for (item, slot) in items.iter().zip(out.iter_mut()) {
                 *slot = self.predict_packed_with(item, &mut s);
             }
-            return preds;
-        }
-        crossbeam::thread::scope(|scope| {
-            let mut rest = preds.as_mut_slice();
-            for r in &plan {
-                let (out_chunk, tail) = rest.split_at_mut(r.len());
-                rest = tail;
-                let item_chunk = &items[r.clone()];
-                scope.spawn(move |_| {
-                    let mut s = PredictScratch::default();
-                    for (item, slot) in item_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = self.predict_packed_with(item, &mut s);
-                    }
-                });
-            }
-        })
-        .expect("predict_batch_packed worker panicked");
-        preds
-    }
-
-    /// Predicts every item of a dataset (one frame sequence per item) on a
-    /// pool of scoped threads — at most `workers` of them, clamped to the
-    /// item count so a small batch never spawns idle threads.
-    ///
-    /// Items are split into contiguous near-equal chunks, one reused
-    /// scratch buffer set per worker, and each worker writes only its own
-    /// output slots — so the result is in input order and bitwise
-    /// identical to the sequential pass for any worker count
-    /// (`workers <= 1` runs on the calling thread). Items may be anything
-    /// that borrows as a frame slice (`Vec<Vec<bool>>`, `&[Vec<bool>]`,
-    /// ...), so callers like `sushi-serve` can batch without copying
-    /// frames into an owned dataset.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-width mismatch or if a worker thread panics (none
-    /// originate in the engine itself).
-    pub fn predict_batch<I>(&self, items: &[I], workers: usize) -> Vec<usize>
-    where
-        I: AsRef<[Vec<bool>]> + Sync,
-    {
-        let mut preds = vec![0usize; items.len()];
-        let plan = chunk_plan(items.len(), workers);
-        if plan.len() <= 1 {
-            let mut s = PredictScratch::default();
-            for (item, slot) in items.iter().zip(preds.iter_mut()) {
-                *slot = self.predict_with(item.as_ref(), &mut s);
-            }
-            return preds;
-        }
-        crossbeam::thread::scope(|scope| {
-            let mut rest = preds.as_mut_slice();
-            for r in &plan {
-                let (out_chunk, tail) = rest.split_at_mut(r.len());
-                rest = tail;
-                let item_chunk = &items[r.clone()];
-                scope.spawn(move |_| {
-                    let mut s = PredictScratch::default();
-                    for (item, slot) in item_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = self.predict_with(item.as_ref(), &mut s);
-                    }
-                });
-            }
-        })
-        .expect("predict_batch worker panicked");
+        });
         preds
     }
 }
@@ -1230,7 +1115,9 @@ mod tests {
     #[test]
     fn chunk_plan_never_exceeds_items_or_workers() {
         // Regression: `workers > items` used to chunk at size 1 and spawn
-        // one thread per item; the plan now clamps to the item count.
+        // one thread per item; the plan `predict_batch_packed` fans out
+        // with now clamps to the item count.
+        use sushi_par::chunk_plan;
         assert!(chunk_plan(0, 8).is_empty());
         for (items, workers) in [(1, 64), (3, 16), (5, 4), (13, 7), (64, 64)] {
             let plan = chunk_plan(items, workers);
@@ -1246,13 +1133,13 @@ mod tests {
         let p = PackedSnn::from_network(&net);
         let mut st = 0xCAFEu64;
         let mut s = PredictScratch::new();
+        let mut counts = Vec::new();
         for _ in 0..10 {
             let frames: Vec<Vec<bool>> = (0..4).map(|_| random_frame(&mut st, 100)).collect();
-            assert_eq!(p.predict_with(&frames, &mut s), p.predict(&frames));
-            assert_eq!(
-                p.forward_counts_with(&frames, &mut s),
-                p.forward_counts(&frames)
-            );
+            let packed = PackedFrames::from_bool_frames(100, &frames);
+            assert_eq!(p.predict_packed_with(&packed, &mut s), p.predict(&frames));
+            p.forward_counts_packed_into(&packed, &mut s, &mut counts);
+            assert_eq!(counts, p.forward_counts(&frames));
         }
     }
 
@@ -1346,6 +1233,7 @@ mod tests {
     fn packed_request_path_matches_bool_path() {
         let net = random_net(121, &[(97, 23), (23, 6)]);
         let p = PackedSnn::from_network(&net);
+        let oracle = crate::backend::ScalarBackend(&net);
         let mut st = 0x7E57u64;
         let mut s = PredictScratch::new();
         for n_frames in [0usize, 1, 4] {
@@ -1356,10 +1244,13 @@ mod tests {
             }
             assert_eq!(
                 p.forward_counts_packed(&packed),
-                p.forward_counts(&frames),
+                oracle.forward_counts(&frames),
                 "{n_frames} frames"
             );
-            assert_eq!(p.predict_packed_with(&packed, &mut s), p.predict(&frames));
+            assert_eq!(
+                p.predict_packed_with(&packed, &mut s),
+                oracle.predict(&frames)
+            );
         }
     }
 
@@ -1375,7 +1266,7 @@ mod tests {
             .iter()
             .map(|it| PackedFrames::from_bool_frames(90, it))
             .collect();
-        let reference = p.predict_batch(&items, 1);
+        let reference = crate::backend::ScalarBackend(&net).predict_batch(&items, 1);
         for workers in [1usize, 2, 7] {
             assert_eq!(
                 p.predict_batch_packed(&packed_items, workers),

@@ -62,7 +62,7 @@ fn main() {
     let cfg = ServeConfig::new()
         .max_batch(32)
         .max_delay(Duration::from_millis(1))
-        .workers(1)
+        .executors(1)
         .backend(Backend::Bitplane)
         .bitplane_min_batch(4);
     let server = Server::start(packed, cfg);

@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (deny rustdoc warnings)"
 # Only the sushi crates: vendor/ stand-ins are out of scope for the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
-  -p sushi-cells -p sushi-sim -p sushi-arch -p sushi-snn -p sushi-ssnn \
+  -p sushi-par -p sushi-cells -p sushi-sim -p sushi-arch -p sushi-snn -p sushi-ssnn \
   -p sushi-serve -p sushi-core -p sushi-bench
 
 echo "==> cargo test -q"
