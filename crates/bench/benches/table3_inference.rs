@@ -11,10 +11,10 @@ use sushi_core::SushiChip;
 use sushi_sim::EvalOptions;
 use sushi_snn::data::synth_digits;
 use sushi_snn::train::{TrainConfig, Trainer};
-use sushi_ssnn::backend::{BitplaneBackend, InferenceBackend, ScalarBackend};
+use sushi_ssnn::backend::{InferenceBackend, ScalarBackend};
 use sushi_ssnn::binarize::{BinarizedSnn, BinaryLayer};
 use sushi_ssnn::compiler::{Compiler, CompilerConfig};
-use sushi_ssnn::packed::PackedSnn;
+use sushi_ssnn::packed::{PackedFrames, PackedSnn};
 
 /// Images per benchmark iteration of the packed-vs-scalar groups.
 const SSNN_IMAGES: usize = 16;
@@ -95,13 +95,18 @@ fn bench_ssnn_packed(c: &mut Criterion) {
 fn bench_ssnn_bitplane(c: &mut Criterion) {
     let net = paper_shape_net(0xD1CE);
     let packed = PackedSnn::from_network(&net);
-    let bitplane = BitplaneBackend(&packed);
+    // Bool images in, classes out, like the packed rows: the bitplane
+    // rows pack inside the timed closure.
+    let bitplane = |images: &[Vec<Vec<bool>>]| {
+        let items: Vec<PackedFrames> = images
+            .iter()
+            .map(|img| PackedFrames::from_bool_frames(packed.input_width(), img))
+            .collect();
+        packed.predict_batch_bitplane_packed(&items, 1)
+    };
     let images = spike_images(0xB17E, SSNN_BATCH);
     // Sanity: bitplane results are bitwise identical before we time them.
-    assert_eq!(
-        bitplane.predict_batch(&images, 1),
-        packed.predict_batch(&images, 1)
-    );
+    assert_eq!(bitplane(&images), packed.predict_batch(&images, 1));
 
     // Single worker on both sides of the headline ratio, so
     // bitplane_over_packed_speedup isolates the layout + kernel win from
@@ -110,14 +115,14 @@ fn bench_ssnn_bitplane(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(3)).sample_size(20);
     g.throughput(Throughput::Elements(SSNN_BATCH as u64));
     g.bench_function("bitplane_predict_batch64_784_800_10", |b| {
-        b.iter(|| bitplane.predict_batch(&images, 1))
+        b.iter(|| bitplane(&images))
     });
     g.bench_function("packed_predict_batch64_784_800_10", |b| {
         b.iter(|| packed.predict_batch(&images, 1))
     });
     g.throughput(Throughput::Elements(8));
     g.bench_function("bitplane_predict_batch8_784_800_10", |b| {
-        b.iter(|| bitplane.predict_batch(&images[..8], 1))
+        b.iter(|| bitplane(&images[..8]))
     });
     g.finish();
 }

@@ -17,6 +17,7 @@
 
 use sushi_core::experiments as exp;
 
+mod bench_metrics;
 mod serve_bench;
 
 fn main() {
@@ -36,7 +37,7 @@ fn main() {
 
     // Opt-in only: metrics instrumentation is not part of the paper run.
     if selected.contains(&"bench") {
-        println!("{}\n", exp::bench_metrics(scale));
+        println!("{}\n", bench_metrics::bench_metrics(scale));
     }
     // Opt-in only: the serving-throughput scenarios (BENCH_serve.json).
     if selected.contains(&"serve") {

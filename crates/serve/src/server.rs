@@ -10,7 +10,8 @@
 //! threads drain them in micro-batches triggered by size (`max_batch`
 //! waiting on a shard) or deadline (oldest request waited `max_delay`),
 //! stealing from sibling shards when their own is quiet. Batches run
-//! through the packed/bitplane engines, so served predictions are
+//! through the engine's batch planner, which picks the per-image or the
+//! bitplane path from the batch size, so served predictions are
 //! bitwise identical to offline batch inference for every shard and
 //! executor count.
 //!
@@ -26,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sushi_ssnn::{argmax_low, Backend, BitplaneScratch, PackedSnn, PredictScratch};
+use sushi_ssnn::{BatchScratch, PackedSnn};
 
 use crate::ServeConfig;
 
@@ -89,8 +90,10 @@ pub struct ServerStats {
     pub served: u64,
     /// Micro-batches dispatched to the engine.
     pub batches: u64,
-    /// Micro-batches served on the 64-lane bitplane path (deep enough
-    /// for `bitplane_min_batch` under [`Backend::Bitplane`]).
+    /// Micro-batches served on the 64-lane bitplane path: those with a
+    /// lane group of at least [`sushi_ssnn::BITPLANE_MIN_BATCH`]
+    /// requests, as chosen by
+    /// [`PackedSnn::classify_into`](sushi_ssnn::PackedSnn::classify_into).
     pub bitplane_batches: u64,
     /// Micro-batches an executor drained from a non-home shard (work
     /// stealing under skewed placement).
@@ -464,78 +467,42 @@ impl ServeHandle {
     }
 }
 
-/// Everything an executor owns for its lifetime: inference scratch,
-/// per-class count buffers, and the batch staging area. Reused across
-/// every batch, so the steady state allocates nothing.
+/// Everything an executor owns for its lifetime: inference scratch and
+/// the batch staging area. Reused across every batch, so the steady
+/// state allocates nothing.
+#[derive(Default)]
 struct ExecCtx {
-    scratch: PredictScratch,
-    bitplane: BitplaneScratch,
-    counts: Vec<Vec<u32>>,
+    scratch: BatchScratch,
     frames: Vec<PackedRequest>,
+    classes: Vec<usize>,
     batch: Vec<Arc<Slot>>,
 }
 
-impl ExecCtx {
-    fn new() -> Self {
-        ExecCtx {
-            scratch: PredictScratch::new(),
-            bitplane: BitplaneScratch::new(),
-            counts: Vec::new(),
-            frames: Vec::new(),
-            batch: Vec::new(),
-        }
-    }
-}
-
 /// Serves the staged batch in `ctx.batch`: payloads are swapped out of
-/// the slots, classified (bitplane path for deep batches), swapped back
-/// and marked done. Clears the staging area, keeping every allocation.
+/// the slots, classified by the engine's batch planner, swapped back and
+/// marked done. Clears the staging area, keeping every allocation.
 fn run_batch(shared: &Shared, ctx: &mut ExecCtx) {
     let n = ctx.batch.len();
-    while ctx.frames.len() < n {
-        ctx.frames.push(PackedRequest::new());
+    if ctx.frames.len() < n {
+        ctx.frames.resize_with(n, PackedRequest::new);
     }
+    ctx.classes.resize(n, 0);
     for (slot, staged) in ctx.batch.iter().zip(&mut ctx.frames) {
         std::mem::swap(&mut slot.lock().frames, staged);
     }
-    // The bitplane path pays a transpose per lane group; it only wins
-    // once the micro-batch is deep enough to fill lanes, so shallow
-    // batches fall back to the per-image packed path.
-    let bitplane = shared.cfg.backend == Backend::Bitplane && n >= shared.cfg.bitplane_min_batch;
-    if bitplane {
-        let classes = shared.snn.classes();
-        while ctx.counts.len() < 64.min(n) {
-            ctx.counts.push(Vec::with_capacity(classes));
-        }
-        let mut served = 0usize;
-        for group_start in (0..n).step_by(64) {
-            let group = &ctx.frames[group_start..n.min(group_start + 64)];
-            shared.snn.bitplane_group_counts_packed(
-                group,
-                &mut ctx.bitplane,
-                &mut ctx.counts[..group.len()],
-            );
-            for (lane, counts) in ctx.counts[..group.len()].iter().enumerate() {
-                let mut body = ctx.batch[group_start + lane].lock();
-                body.class = argmax_low(counts);
-                served += 1;
-            }
-        }
-        debug_assert_eq!(served, n);
-    } else {
-        for (slot, staged) in ctx.batch.iter().zip(&ctx.frames) {
-            let class = shared.snn.predict_packed_with(staged, &mut ctx.scratch);
-            slot.lock().class = class;
-        }
-    }
+    let bitplane_groups =
+        shared
+            .snn
+            .classify_into(&ctx.frames[..n], &mut ctx.scratch, &mut ctx.classes);
     shared.batches.fetch_add(1, Ordering::Relaxed);
-    if bitplane {
+    if bitplane_groups > 0 {
         shared.bitplane_batches.fetch_add(1, Ordering::Relaxed);
     }
     shared.served.fetch_add(n as u64, Ordering::Relaxed);
-    for (slot, staged) in ctx.batch.iter().zip(&mut ctx.frames) {
+    for ((slot, staged), &class) in ctx.batch.iter().zip(&mut ctx.frames).zip(&ctx.classes) {
         let mut body = slot.lock();
         std::mem::swap(&mut body.frames, staged);
+        body.class = class;
         body.batch_size = n;
         body.done = true;
         drop(body);
@@ -550,7 +517,7 @@ fn run_batch(shared: &Shared, ctx: &mut ExecCtx) {
 /// sleep on the signal condvar — bounded by the nearest pending
 /// deadline — when nothing is dispatchable.
 fn executor_loop(shared: &Shared, home: usize) {
-    let mut ctx = ExecCtx::new();
+    let mut ctx = ExecCtx::default();
     let shard_count = shared.shards.len();
     loop {
         let observed = *shared.signal.seq.lock().expect("signal lock poisoned");

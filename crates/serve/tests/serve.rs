@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use sushi_serve::loadgen;
 use sushi_serve::{ServeConfig, ServeError, Server};
-use sushi_ssnn::{Backend, InferenceBackend, PackedLayer, PackedSnn};
+use sushi_ssnn::{InferenceBackend, PackedLayer, PackedSnn};
 
 /// A deterministic 32-16-10 packed network (xorshift weights, the same
 /// recipe as the benchmark fixtures, scaled down for test speed).
@@ -94,67 +94,73 @@ fn bitplane_served_classes_match_offline_batch_bitwise() {
     let snn = test_net(0xB17);
     let images = spike_images(0xB17E, 48, snn.input_width(), 4);
     let offline = snn.predict_batch(&images, 1);
-    // min_batch 1 forces every micro-batch — even a deadline-triggered
-    // single request — onto the bitplane path; test_net's negative
-    // thresholds make inactive-lane masking observable if it broke.
+    // Eight clients with one request in flight each, one shard and a
+    // deadline that never fires: every batch is a full, size-triggered
+    // batch of 8, which the planner serves on the bitplane path.
     let server = Server::start(
         snn,
         ServeConfig::new()
             .max_batch(8)
-            .max_delay(Duration::from_millis(1))
-            .executors(1)
-            .backend(Backend::Bitplane)
-            .bitplane_min_batch(1),
+            .max_delay(Duration::from_secs(60))
+            .shards(1)
+            .executors(1),
     );
     let handle = server.handle();
-    let served: Vec<usize> = std::thread::scope(|scope| {
-        let chunks: Vec<_> = images
-            .chunks(12)
+    let served: Vec<(usize, usize)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = images
+            .chunks(6)
             .map(|chunk| {
                 let h = handle.clone();
-                scope.spawn(move || -> Vec<usize> {
+                scope.spawn(move || -> Vec<(usize, usize)> {
                     chunk
                         .iter()
-                        .map(|img| h.predict(img.clone()).expect("serve ok").class)
+                        .map(|img| {
+                            let p = h.predict(img.clone()).expect("serve ok");
+                            (p.class, p.batch_size)
+                        })
                         .collect()
                 })
             })
             .collect();
-        chunks
+        clients
             .into_iter()
-            .flat_map(|j| j.join().expect("client thread"))
+            .flat_map(|c| c.join().expect("client thread"))
             .collect()
     });
-    assert_eq!(served, offline);
+    let classes: Vec<usize> = served.iter().map(|&(class, _)| class).collect();
+    assert_eq!(classes, offline);
+    assert!(served.iter().all(|&(_, size)| size == 8), "{served:?}");
     let stats = server.stats();
     assert_eq!(stats.served, images.len() as u64);
-    assert!(stats.batches > 0);
+    assert_eq!(stats.batches, 6);
     assert_eq!(
         stats.bitplane_batches, stats.batches,
-        "every micro-batch took the bitplane path"
+        "every full batch took the bitplane path"
     );
 }
 
 #[test]
-fn packed_backend_never_takes_the_bitplane_path() {
+fn single_requests_never_take_the_bitplane_path() {
     let snn = test_net(0x9ACD);
     let images = spike_images(0x9A5, 8, snn.input_width(), 2);
     let offline = snn.predict_batch(&images, 1);
     let server = Server::start(
         snn,
         ServeConfig::new()
-            .max_batch(4)
+            .max_batch(8)
             .max_delay(Duration::from_millis(1))
-            .executors(1)
-            .backend(Backend::Packed),
+            .executors(1),
     );
     let handle = server.handle();
+    // One client, one request at a time: every batch holds one image.
     let served: Vec<usize> = images
         .iter()
         .map(|img| handle.predict(img.clone()).expect("serve ok").class)
         .collect();
     assert_eq!(served, offline);
-    assert_eq!(server.stats().bitplane_batches, 0);
+    let stats = server.stats();
+    assert_eq!(stats.batches, images.len() as u64);
+    assert_eq!(stats.bitplane_batches, 0);
 }
 
 #[test]

@@ -1,101 +1,39 @@
 //! The unified inference entry-point API: one [`InferenceBackend`] trait
-//! over the three engines, selected at runtime by a [`Backend`] enum.
+//! over the bitwise-identical engines.
 //!
-//! PR 5 grew the engine zoo to three bitwise-identical implementations —
-//! the scalar `Vec<i8>` × `Vec<bool>` oracle, the per-image bit-packed
-//! XNOR/popcount path ([`crate::packed`]) and now the 64-image bitplane
-//! batch path ([`crate::batchplane`]) — each with its own ad-hoc entry
-//! points. Consumers (benches, the serving layer, the experiment
-//! harness) kept re-implementing the same "which engine?" plumbing. This
-//! module is the seam: pick a [`Backend`], call [`Backend::select`], and
-//! program against the trait. Because every implementation is bitwise
-//! identical (pinned by the proptest oracles), backend choice is purely
-//! a performance decision.
+//! The scalar `Vec<i8>` × `Vec<bool>` oracle ([`ScalarBackend`]), the
+//! per-image bit-packed XNOR/popcount path ([`crate::packed`]) and the
+//! 64-image bitplane batch path ([`crate::batchplane`]) compute the same
+//! classes. The trait is the bool-frame edge the oracle shares with the
+//! packed engine, so tests and benches can compare them through one
+//! interface. Nobody picks between the fast engines by hand:
+//! [`PackedSnn::classify_into`] chooses per-image or bitplane from the
+//! batch size, and the explicit engines stay callable by name
+//! ([`PackedSnn::predict_batch_packed`],
+//! [`PackedSnn::predict_batch_bitplane_packed`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use sushi_ssnn::backend::{Backend, InferenceBackend};
+//! use sushi_ssnn::backend::{InferenceBackend, ScalarBackend};
 //! use sushi_ssnn::binarize::{BinaryLayer, BinarizedSnn};
-//! use sushi_ssnn::packed::PackedSnn;
+//! use sushi_ssnn::packed::{PackedFrames, PackedSnn};
 //!
 //! let l = BinaryLayer::from_signs(vec![1, -1, 1, 1], 2, 2, vec![1, 2]);
 //! let net = BinarizedSnn::from_layers(vec![l]);
 //! let packed = PackedSnn::from_network(&net);
-//! let frames = vec![vec![true, true]];
-//! let reference = Backend::Scalar.select(&net, &packed).predict(&frames);
-//! for b in Backend::ALL {
-//!     assert_eq!(b.select(&net, &packed).predict(&frames), reference);
-//! }
-//! assert_eq!("bitplane".parse::<Backend>(), Ok(Backend::Bitplane));
+//! let items = vec![vec![vec![true, true]], vec![vec![false, true]]];
+//! let reference = ScalarBackend(&net).predict_batch(&items, 1);
+//! assert_eq!(packed.predict_batch(&items, 1), reference);
+//! let packed_items: Vec<PackedFrames> = items
+//!     .iter()
+//!     .map(|it| PackedFrames::from_bool_frames(2, it))
+//!     .collect();
+//! assert_eq!(packed.predict_batch_bitplane_packed(&packed_items, 1), reference);
 //! ```
 
-use crate::batchplane::BitplaneScratch;
 use crate::binarize::BinarizedSnn;
 use crate::packed::{PackedFrames, PackedSnn};
-use std::fmt;
-use std::str::FromStr;
-
-/// Which inference engine to run. All three are bitwise identical; the
-/// choice only affects throughput.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// The `Vec<i8>` × `Vec<bool>` reference path — the oracle every
-    /// fast path must match. Slow; for validation and debugging.
-    Scalar,
-    /// The per-image bit-packed XNOR/popcount engine (PR 5): best
-    /// latency for a single image.
-    #[default]
-    Packed,
-    /// The 64-image bitplane batch engine: best throughput once a batch
-    /// is deep enough to fill lanes (single images pay transpose
-    /// overhead for nothing).
-    Bitplane,
-}
-
-impl Backend {
-    /// Every backend, in oracle-first order.
-    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Packed, Backend::Bitplane];
-
-    /// The backend's canonical lower-case name (what [`FromStr`] parses).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Packed => "packed",
-            Backend::Bitplane => "bitplane",
-        }
-    }
-
-    /// Binds this choice to a network, yielding a ready-to-call
-    /// [`InferenceBackend`]. The scalar path runs on `net`, the packed
-    /// and bitplane paths on `packed` (callers that only hold a
-    /// [`PackedSnn`] — e.g. the serving layer — use it directly and
-    /// treat `Scalar` as `Packed`, which is bitwise identical anyway).
-    pub fn select<'a>(self, net: &'a BinarizedSnn, packed: &'a PackedSnn) -> SelectedBackend<'a> {
-        match self {
-            Backend::Scalar => SelectedBackend::Scalar(ScalarBackend(net)),
-            Backend::Packed => SelectedBackend::Packed(packed),
-            Backend::Bitplane => SelectedBackend::Bitplane(BitplaneBackend(packed)),
-        }
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Backend::ALL
-            .into_iter()
-            .find(|b| b.name() == s)
-            .ok_or_else(|| format!("unknown backend {s:?} (scalar, packed or bitplane)"))
-    }
-}
 
 /// Argmax with ties to the lowest index, matching the float reference —
 /// the one prediction rule shared by every backend (previously
@@ -169,14 +107,6 @@ pub trait InferenceBackend: Sync {
     }
 }
 
-/// Packs every item's bool frames at the edge (`width` bits per frame).
-fn pack_items<I: AsRef<[Vec<bool>]>>(width: usize, items: &[I]) -> Vec<PackedFrames> {
-    items
-        .iter()
-        .map(|it| PackedFrames::from_bool_frames(width, it.as_ref()))
-        .collect()
-}
-
 /// The packed per-image engine as a backend: bool items are packed at
 /// the edge and run through the scratch-reusing parallel
 /// [`PackedSnn::predict_batch_packed`].
@@ -197,7 +127,11 @@ impl InferenceBackend for PackedSnn {
     where
         I: AsRef<[Vec<bool>]> + Sync,
     {
-        self.predict_batch_packed(&pack_items(self.input_width(), items), workers)
+        let items: Vec<PackedFrames> = items
+            .iter()
+            .map(|it| PackedFrames::from_bool_frames(self.input_width(), it.as_ref()))
+            .collect();
+        self.predict_batch_packed(&items, workers)
     }
 }
 
@@ -230,98 +164,6 @@ impl InferenceBackend for ScalarBackend<'_> {
 
     fn forward_counts(&self, frames: &[Vec<bool>]) -> Vec<u32> {
         self.0.forward_counts_scalar_impl(frames)
-    }
-}
-
-/// The 64-image bitplane batch engine as a backend: bool items are packed
-/// at the edge. Single-item calls run as one-lane batches (correct, but
-/// paying the transpose for nothing); `predict_batch` is where it earns
-/// its keep.
-#[derive(Debug, Clone, Copy)]
-pub struct BitplaneBackend<'a>(pub &'a PackedSnn);
-
-impl InferenceBackend for BitplaneBackend<'_> {
-    fn classes(&self) -> usize {
-        self.0.classes()
-    }
-
-    fn forward_counts(&self, frames: &[Vec<bool>]) -> Vec<u32> {
-        let mut counts = [Vec::new()];
-        self.0.bitplane_group_counts_packed(
-            &pack_items(self.0.input_width(), &[frames]),
-            &mut BitplaneScratch::new(),
-            &mut counts,
-        );
-        let [counts] = counts;
-        counts
-    }
-
-    fn predict_batch<I>(&self, items: &[I], workers: usize) -> Vec<usize>
-    where
-        I: AsRef<[Vec<bool>]> + Sync,
-    {
-        self.0
-            .predict_batch_bitplane_packed(&pack_items(self.0.input_width(), items), workers)
-    }
-}
-
-/// A runtime-selected backend (the result of [`Backend::select`]):
-/// dispatches every trait method to the chosen engine.
-#[derive(Debug, Clone, Copy)]
-pub enum SelectedBackend<'a> {
-    /// The scalar oracle.
-    Scalar(ScalarBackend<'a>),
-    /// The per-image packed engine.
-    Packed(&'a PackedSnn),
-    /// The bitplane batch engine.
-    Bitplane(BitplaneBackend<'a>),
-}
-
-impl SelectedBackend<'_> {
-    /// Which [`Backend`] this selection runs.
-    pub fn backend(&self) -> Backend {
-        match self {
-            SelectedBackend::Scalar(_) => Backend::Scalar,
-            SelectedBackend::Packed(_) => Backend::Packed,
-            SelectedBackend::Bitplane(_) => Backend::Bitplane,
-        }
-    }
-}
-
-impl InferenceBackend for SelectedBackend<'_> {
-    fn classes(&self) -> usize {
-        match self {
-            SelectedBackend::Scalar(b) => b.classes(),
-            SelectedBackend::Packed(b) => InferenceBackend::classes(*b),
-            SelectedBackend::Bitplane(b) => b.classes(),
-        }
-    }
-
-    fn forward_counts(&self, frames: &[Vec<bool>]) -> Vec<u32> {
-        match self {
-            SelectedBackend::Scalar(b) => b.forward_counts(frames),
-            SelectedBackend::Packed(b) => InferenceBackend::forward_counts(*b, frames),
-            SelectedBackend::Bitplane(b) => b.forward_counts(frames),
-        }
-    }
-
-    fn predict(&self, frames: &[Vec<bool>]) -> usize {
-        match self {
-            SelectedBackend::Scalar(b) => b.predict(frames),
-            SelectedBackend::Packed(b) => InferenceBackend::predict(*b, frames),
-            SelectedBackend::Bitplane(b) => b.predict(frames),
-        }
-    }
-
-    fn predict_batch<I>(&self, items: &[I], workers: usize) -> Vec<usize>
-    where
-        I: AsRef<[Vec<bool>]> + Sync,
-    {
-        match self {
-            SelectedBackend::Scalar(b) => b.predict_batch(items, workers),
-            SelectedBackend::Packed(b) => InferenceBackend::predict_batch(*b, items, workers),
-            SelectedBackend::Bitplane(b) => b.predict_batch(items, workers),
-        }
     }
 }
 
@@ -372,31 +214,37 @@ mod tests {
     }
 
     #[test]
-    fn backend_parse_display_roundtrip() {
-        for b in Backend::ALL {
-            assert_eq!(b.to_string().parse::<Backend>(), Ok(b));
-        }
-        assert_eq!(Backend::default(), Backend::Packed);
-        assert!("simd".parse::<Backend>().is_err());
-    }
-
-    #[test]
     fn all_backends_agree_on_every_trait_method() {
         let (net, packed) = fixture();
         let data = items(0xA11, 70);
         let oracle = ScalarBackend(&net);
         let want_counts: Vec<Vec<u32>> = data.iter().map(|it| oracle.forward_counts(it)).collect();
         let want_preds = oracle.predict_batch(&data, 1);
-        for b in Backend::ALL {
-            let sel = b.select(&net, &packed);
-            assert_eq!(sel.backend(), b);
-            assert_eq!(sel.classes(), 6);
-            for (it, want) in data.iter().zip(&want_counts) {
-                assert_eq!(&sel.forward_counts(it), want, "{b} counts");
+        fn check<B: InferenceBackend>(
+            name: &str,
+            b: &B,
+            data: &[Vec<Vec<bool>>],
+            want_counts: &[Vec<u32>],
+            want_preds: &[usize],
+        ) {
+            assert_eq!(b.classes(), 6, "{name} classes");
+            for (it, want) in data.iter().zip(want_counts) {
+                assert_eq!(&b.forward_counts(it), want, "{name} counts");
             }
             for workers in [1usize, 3] {
-                assert_eq!(sel.predict_batch(&data, workers), want_preds, "{b} batch");
+                assert_eq!(b.predict_batch(data, workers), want_preds, "{name} batch");
             }
+        }
+        check("scalar", &oracle, &data, &want_counts, &want_preds);
+        check("packed", &packed, &data, &want_counts, &want_preds);
+        check("binarized", &net, &data, &want_counts, &want_preds);
+        let packed_items: Vec<PackedFrames> = data
+            .iter()
+            .map(|it| PackedFrames::from_bool_frames(70, it))
+            .collect();
+        for workers in [1usize, 3] {
+            let got = packed.predict_batch_bitplane_packed(&packed_items, workers);
+            assert_eq!(got, want_preds, "bitplane batch");
         }
     }
 

@@ -33,6 +33,12 @@
 //! there are no per-image horizontal reductions and no half-empty words,
 //! so AVX-512 finally pays for itself (see DESIGN.md).
 //!
+//! A near-empty lane group still pays the full transpose, so callers do
+//! not pick this engine themselves: the batch planner
+//! [`PackedSnn::classify_into`] runs each group of at least
+//! [`BITPLANE_MIN_BATCH`] items here and smaller groups on the
+//! per-image path.
+//!
 //! # Examples
 //!
 //! ```
@@ -52,7 +58,8 @@
 //! );
 //! ```
 
-use crate::packed::{PackedLayer, PackedSnn};
+use crate::backend::argmax_low;
+use crate::packed::{PackedFrames, PackedLayer, PackedSnn, PredictScratch};
 
 /// Transposes a 64×64 bit matrix in place, LSB-first: afterwards
 /// `a[i] >> j & 1` equals the old `a[j] >> i & 1`.
@@ -273,6 +280,28 @@ pub struct BitplaneScratch {
 }
 
 impl BitplaneScratch {
+    /// Fresh, empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Smallest lane group [`PackedSnn::classify_into`] runs on the bitplane
+/// path. Below it, transposing a near-empty group costs more than the
+/// per-image sweeps it replaces.
+pub const BITPLANE_MIN_BATCH: usize = 8;
+
+/// Reusable buffers for [`PackedSnn::classify_into`]: the per-image
+/// scratch, the bitplane scratch and one count buffer per lane. Sizes
+/// itself to the network and the largest group on first use.
+#[derive(Debug, Clone, Default)]
+pub struct BatchScratch {
+    packed: PredictScratch,
+    bitplane: BitplaneScratch,
+    counts: Vec<Vec<u32>>,
+}
+
+impl BatchScratch {
     /// Fresh, empty buffers.
     pub fn new() -> Self {
         Self::default()
@@ -526,7 +555,7 @@ impl PackedSnn {
     /// Per-class spike counts of one ≤ 64-item group of packed
     /// requests, written into `counts` (one `Vec<u32>` per lane,
     /// cleared and resized here). Frames go straight from
-    /// [`crate::PackedFrames`] words into bitplane tiles, so the serve
+    /// [`PackedFrames`] words into bitplane tiles, so the serve
     /// hot path never materialises a bool. Items may have different
     /// frame counts; at
     /// step `t` only lanes with more than `t` frames contribute, so
@@ -539,7 +568,7 @@ impl PackedSnn {
     /// entries.
     pub fn bitplane_group_counts_packed(
         &self,
-        items: &[crate::PackedFrames],
+        items: &[PackedFrames],
         s: &mut BitplaneScratch,
         counts: &mut [Vec<u32>],
     ) {
@@ -553,11 +582,7 @@ impl PackedSnn {
             c.clear();
             c.resize(classes, 0);
         }
-        let max_frames = items
-            .iter()
-            .map(crate::PackedFrames::len)
-            .max()
-            .unwrap_or(0);
+        let max_frames = items.iter().map(PackedFrames::len).max().unwrap_or(0);
         for t in 0..max_frames {
             let mut active = 0u64;
             for (l, it) in items.iter().enumerate() {
@@ -595,30 +620,90 @@ impl PackedSnn {
     /// (none originate in the engine itself).
     pub fn predict_batch_bitplane_packed(
         &self,
-        items: &[crate::PackedFrames],
+        items: &[PackedFrames],
         workers: usize,
     ) -> Vec<usize> {
         let mut preds = vec![0usize; items.len()];
         sushi_par::fan_out(items, &mut preds, workers, 64, |_, items, preds| {
-            let mut s = BitplaneScratch::new();
-            let mut counts: Vec<Vec<u32>> = vec![Vec::new(); 64.min(items.len())];
-            for (group, out) in items.chunks(64).zip(preds.chunks_mut(64)) {
-                self.bitplane_group_counts_packed(group, &mut s, &mut counts[..group.len()]);
-                for (slot, c) in out.iter_mut().zip(&counts) {
-                    *slot = crate::backend::argmax_low(c);
-                }
-            }
+            self.classify_groups(items, &mut BatchScratch::new(), preds, 1);
         });
         preds
+    }
+
+    /// Classifies `items` into `out` on the calling thread, choosing the
+    /// engine per 64-item lane group from the group's size: a group of at
+    /// least [`BITPLANE_MIN_BATCH`] items runs on the bitplane path, a
+    /// smaller one image by image through
+    /// [`PackedSnn::predict_packed_with`]. The engines are bitwise
+    /// identical, so the choice only moves throughput. Returns how many
+    /// groups took the bitplane path. With reused scratch the steady
+    /// state allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on input-width mismatch or if `out` and `items` differ in
+    /// length.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sushi_ssnn::{BatchScratch, PackedFrames, PackedLayer, PackedSnn, BITPLANE_MIN_BATCH};
+    ///
+    /// let snn = PackedSnn::from_layers(vec![PackedLayer::from_parts(&[1, -1], 1, 2, &[1, 0])]);
+    /// let items = vec![PackedFrames::from_bool_frames(1, &[[true]]); BITPLANE_MIN_BATCH];
+    /// let mut out = vec![0; items.len()];
+    /// let mut scratch = BatchScratch::new();
+    /// assert_eq!(snn.classify_into(&items, &mut scratch, &mut out), 1);
+    /// assert_eq!(snn.classify_into(&items[..1], &mut scratch, &mut out[..1]), 0);
+    /// assert_eq!(out, snn.predict_batch_packed(&items, 1));
+    /// ```
+    pub fn classify_into(
+        &self,
+        items: &[PackedFrames],
+        s: &mut BatchScratch,
+        out: &mut [usize],
+    ) -> usize {
+        self.classify_groups(items, s, out, BITPLANE_MIN_BATCH)
+    }
+
+    /// The one lane-group loop behind both batch entries: groups of at
+    /// least `min_group` items take the bitplane path, the rest run per
+    /// image. Returns the bitplane group count.
+    fn classify_groups(
+        &self,
+        items: &[PackedFrames],
+        s: &mut BatchScratch,
+        out: &mut [usize],
+        min_group: usize,
+    ) -> usize {
+        assert_eq!(items.len(), out.len(), "one output slot per item");
+        let mut bitplane_groups = 0;
+        for (group, out) in items.chunks(64).zip(out.chunks_mut(64)) {
+            if group.len() >= min_group {
+                if s.counts.len() < group.len() {
+                    s.counts.resize(group.len(), Vec::new());
+                }
+                let counts = &mut s.counts[..group.len()];
+                self.bitplane_group_counts_packed(group, &mut s.bitplane, counts);
+                for (slot, c) in out.iter_mut().zip(counts.iter()) {
+                    *slot = argmax_low(c);
+                }
+                bitplane_groups += 1;
+            } else {
+                for (item, slot) in group.iter().zip(out) {
+                    *slot = self.predict_packed_with(item, &mut s.packed);
+                }
+            }
+        }
+        bitplane_groups
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BitplaneBackend, InferenceBackend, ScalarBackend};
+    use crate::backend::{InferenceBackend, ScalarBackend};
     use crate::binarize::{BinarizedSnn, BinaryLayer};
-    use crate::PackedFrames;
 
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -783,8 +868,8 @@ mod tests {
         for count in [0usize, 1, 63, 64, 65, 130] {
             let items = random_items(0x5EED + count as u64, count, 90, 3);
             assert_eq!(
-                BitplaneBackend(&p).predict_batch(&items, 1),
-                p.predict_batch(&items, 1),
+                p.predict_batch_bitplane_packed(&pack_items(90, &items), 1),
+                ScalarBackend(&net).predict_batch(&items, 1),
                 "count {count}"
             );
         }
@@ -810,14 +895,17 @@ mod tests {
     fn bitplane_predict_batch_is_worker_invariant() {
         let net = random_net(5, &[(100, 30), (30, 6)]);
         let p = PackedSnn::from_network(&net);
-        let bp = BitplaneBackend(&p);
         let items = random_items(0xB00C, 150, 100, 2);
-        let reference = bp.predict_batch(&items, 1);
-        assert_eq!(reference, p.predict_batch(&items, 1));
-        for workers in [2usize, 3, 7, 16] {
-            assert_eq!(bp.predict_batch(&items, workers), reference, "w={workers}");
+        let packed_items = pack_items(100, &items);
+        let reference = ScalarBackend(&net).predict_batch(&items, 1);
+        for workers in [1usize, 2, 3, 7, 16] {
+            assert_eq!(
+                p.predict_batch_bitplane_packed(&packed_items, workers),
+                reference,
+                "w={workers}"
+            );
         }
-        assert_eq!(bp.predict_batch::<Vec<Vec<bool>>>(&[], 4), vec![]);
+        assert_eq!(p.predict_batch_bitplane_packed(&[], 4), vec![]);
     }
 
     #[test]
@@ -826,10 +914,13 @@ mod tests {
         let p = PackedSnn::from_network(&net);
         let items = random_items(0xDEAF, 5, 80, 4);
         let scalar = ScalarBackend(&net);
-        let bp = BitplaneBackend(&p);
         for it in &items {
-            assert_eq!(bp.forward_counts(it), scalar.forward_counts(it));
-            assert_eq!(bp.predict(it), scalar.predict(it));
+            let one = pack_items(80, std::slice::from_ref(it));
+            assert_eq!(bitplane_counts(&p, &one), vec![scalar.forward_counts(it)]);
+            assert_eq!(
+                p.predict_batch_bitplane_packed(&one, 1),
+                vec![scalar.predict(it)]
+            );
         }
     }
 
@@ -838,7 +929,7 @@ mod tests {
     fn width_mismatch_panics() {
         let net = random_net(1, &[(10, 3)]);
         let p = PackedSnn::from_network(&net);
-        let _ = BitplaneBackend(&p).forward_counts(&[vec![true; 9]]);
+        let _ = p.predict_batch_bitplane_packed(&pack_items(10, &[vec![vec![true; 9]]]), 1);
     }
 
     #[test]
@@ -907,6 +998,39 @@ mod tests {
         p.bitplane_group_counts_packed(&packed_items, &mut s, &mut counts);
         for (it, got) in items.iter().zip(&counts) {
             assert_eq!(&p.forward_counts(it), got);
+        }
+    }
+
+    #[test]
+    fn planner_matches_scalar_on_both_sides_of_the_crossover() {
+        let net = random_net(0x91A, &[(70, 24), (24, 6)]);
+        let p = PackedSnn::from_network(&net);
+        let oracle = ScalarBackend(&net);
+        // One scratch across every size: reuse after a larger batch must
+        // not leak lanes or counts into a smaller one.
+        let mut s = BatchScratch::new();
+        let mut st = 0x91A9u64;
+        // (batch size, lane groups of at least BITPLANE_MIN_BATCH = 8).
+        let cases = [
+            (0usize, 0usize),
+            (1, 0),
+            (7, 0),
+            (8, 1),
+            (63, 1),
+            (64, 1),
+            (65, 1),
+            (71, 1),
+            (72, 2),
+            (135, 2),
+        ];
+        for (n, want_groups) in cases {
+            let items: Vec<Vec<Vec<bool>>> = (0..n)
+                .map(|k| (0..1 + k % 4).map(|_| random_frame(&mut st, 70)).collect())
+                .collect();
+            let mut out = vec![usize::MAX; n];
+            let groups = p.classify_into(&pack_items(70, &items), &mut s, &mut out);
+            assert_eq!(out, oracle.predict_batch(&items, 1), "n {n}");
+            assert_eq!(groups, want_groups, "bitplane groups for n {n}");
         }
     }
 

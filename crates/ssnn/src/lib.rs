@@ -28,10 +28,13 @@
 //! * [`batchplane`] — the image-major bitplane batch engine: the same
 //!   bit position of up to 64 images per `u64` word, weight-stationary
 //!   sweeps amortizing mask loads across the batch, with an
-//!   AVX-512/VPOPCNTDQ tier on top of the POPCNT/AVX2 ladder;
-//! * [`backend`] — the unified [`InferenceBackend`] entry-point trait
-//!   over the scalar / packed / bitplane engines, selected at runtime by
-//!   a [`Backend`] enum;
+//!   AVX-512/VPOPCNTDQ tier on top of the POPCNT/AVX2 ladder; and the
+//!   batch planner [`PackedSnn::classify_into`], which runs each 64-item
+//!   lane group on the bitplane path from [`BITPLANE_MIN_BATCH`] items
+//!   and per image below it;
+//! * [`backend`] — the [`InferenceBackend`] trait, the bool-frame edge
+//!   shared by the scalar oracle ([`ScalarBackend`]) and the packed
+//!   engine;
 //! * [`encode`] — pulse-stream encoding for the cell-accurate chip netlist;
 //! * [`compiler`] — the offline phase of Fig. 12 tying it all together
 //!   into a [`compiler::ChipProgram`].
@@ -63,10 +66,8 @@ pub mod reload;
 pub mod stateless;
 pub mod timing;
 
-pub use backend::{
-    argmax_low, Backend, BitplaneBackend, InferenceBackend, ScalarBackend, SelectedBackend,
-};
-pub use batchplane::{BitplaneBatch, BitplaneScratch};
+pub use backend::{argmax_low, InferenceBackend, ScalarBackend};
+pub use batchplane::{BatchScratch, BitplaneBatch, BitplaneScratch, BITPLANE_MIN_BATCH};
 pub use binarize::{BinarizedSnn, BinaryLayer};
 pub use bitslice::{Slice, SliceSchedule};
 pub use bucketing::{analyze_excursion, bucketed_order, inhibitory_first, Excursion};

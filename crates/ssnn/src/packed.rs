@@ -755,8 +755,8 @@ impl PackedLayer {
 /// Reusable per-thread buffers for a multi-layer packed forward pass.
 ///
 /// [`PackedSnn::predict`] builds one internally per call; a long-running
-/// consumer (the batch engine's workers, `sushi-serve`'s inference loop)
-/// holds one per thread and passes it to
+/// consumer (the batch engine's workers, the batch planner's
+/// [`crate::BatchScratch`]) holds one per thread and passes it to
 /// [`PackedSnn::predict_packed_with`] /
 /// [`PackedSnn::forward_counts_packed_into`] so steady-state inference
 /// stays allocation-free across requests.

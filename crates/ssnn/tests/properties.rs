@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sushi_ssnn::backend::{InferenceBackend, ScalarBackend};
-use sushi_ssnn::batchplane::BitplaneScratch;
+use sushi_ssnn::batchplane::{BatchScratch, BitplaneScratch};
 use sushi_ssnn::binarize::{BinarizedSnn, BinaryLayer};
 use sushi_ssnn::bitslice::SliceSchedule;
 use sushi_ssnn::bucketing::{analyze_excursion, bucketed_order, inhibitory_first};
@@ -242,14 +242,24 @@ proptest! {
     /// packed path and the scalar oracle: equal counts, spikes and argmax
     /// for random shapes (off-word widths, zero signs, an all-inhibitory
     /// column) and batch sizes spanning lane-group boundaries (1, 63, 64,
-    /// 65), including lanes with differing frame counts.
+    /// 65, 72) and the planner's crossover (7, 8), including lanes with
+    /// differing frame counts. The planner (`classify_into`) agrees too.
     #[test]
     fn bitplane_matches_packed_and_scalar(
         ins in 1usize..150,
         hidden in 1usize..70,
         outs in 1usize..12,
         seed in any::<u64>(),
-        n_items in prop_oneof![Just(1usize), Just(5), Just(63), Just(64), Just(65)],
+        n_items in prop_oneof![
+            Just(1usize),
+            Just(5),
+            Just(7),
+            Just(8),
+            Just(63),
+            Just(64),
+            Just(65),
+            Just(72)
+        ],
     ) {
         let net = net_from_seed(seed, ins, hidden, outs);
         let packed = PackedSnn::from_network(&net);
@@ -279,6 +289,9 @@ proptest! {
             let per_image = packed.predict_batch_packed(&packed_items, workers);
             prop_assert_eq!(&per_image, &scalar_preds, "packed workers={}", workers);
         }
+        let mut planned = vec![usize::MAX; n_items];
+        packed.classify_into(&packed_items, &mut BatchScratch::new(), &mut planned);
+        prop_assert_eq!(&planned, &scalar_preds, "planner");
     }
 
     /// Batch prediction is deterministic and input-ordered for any worker

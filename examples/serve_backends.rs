@@ -1,18 +1,20 @@
-//! Backend selection: one network, three bitwise-identical engines.
+//! One network, three bitwise-identical engines, no engine setting.
 //!
 //! 1. Run the same images through the scalar oracle, the per-image
-//!    packed engine and the 64-lane bitplane batch engine via the
-//!    `InferenceBackend` trait, and check they agree.
-//! 2. Serve the network with `ServeConfig::backend` so deep micro-batches
-//!    take the bitplane path automatically while shallow ones fall back
-//!    to the per-image packed path.
+//!    packed engine and the 64-lane bitplane batch engine, each called
+//!    by name, and check they agree.
+//! 2. Serve the network with the default `ServeConfig`: the batch
+//!    planner sends deep micro-batches down the bitplane path and
+//!    shallow ones down the per-image path, and the served classes
+//!    equal the scalar oracle's.
 //!
 //! Run with: `cargo run --release --example serve_backends`
 
-use std::time::Duration;
-
 use sushi_serve::{ServeConfig, Server};
-use sushi_ssnn::{Backend, BinarizedSnn, BinaryLayer, InferenceBackend, PackedSnn};
+use sushi_ssnn::{
+    BinarizedSnn, BinaryLayer, InferenceBackend, PackedFrames, PackedSnn, ScalarBackend,
+    BITPLANE_MIN_BATCH,
+};
 
 fn main() {
     // --- A small deterministic 64-32-10 network ----------------------
@@ -44,32 +46,35 @@ fn main() {
         })
         .collect();
 
-    // --- 1. The InferenceBackend seam --------------------------------
-    println!("offline: one dataset, every backend");
-    let reference = Backend::Scalar
-        .select(&net, &packed)
-        .predict_batch(&images, 1);
-    for backend in Backend::ALL {
-        let engine = backend.select(&net, &packed);
-        let preds = engine.predict_batch(&images, 1);
-        assert_eq!(preds, reference, "backends are bitwise identical");
-        println!("  {backend:<9} first 8 classes: {:?}", &preds[..8]);
+    // --- 1. Three engines, one answer --------------------------------
+    println!("offline: one dataset, every engine");
+    let reference = ScalarBackend(&net).predict_batch(&images, 1);
+    let packed_items: Vec<PackedFrames> = images
+        .iter()
+        .map(|img| PackedFrames::from_bool_frames(64, img))
+        .collect();
+    for (name, preds) in [
+        ("scalar", reference.clone()),
+        ("packed", packed.predict_batch_packed(&packed_items, 1)),
+        (
+            "bitplane",
+            packed.predict_batch_bitplane_packed(&packed_items, 1),
+        ),
+    ] {
+        assert_eq!(preds, reference, "engines are bitwise identical");
+        println!("  {name:<9} first 8 classes: {:?}", &preds[..8]);
     }
 
-    // --- 2. Backend selection in the serving layer --------------------
-    // Default config: Bitplane backend, engaged once a micro-batch has
-    // coalesced at least `bitplane_min_batch` requests.
-    let cfg = ServeConfig::new()
-        .max_batch(32)
-        .max_delay(Duration::from_millis(1))
-        .executors(1)
-        .backend(Backend::Bitplane)
-        .bitplane_min_batch(4);
-    let server = Server::start(packed, cfg);
+    // --- 2. Serving: the batch size picks the engine ----------------
+    // The default config has no engine setting: each micro-batch goes
+    // through `PackedSnn::classify_into`, which runs lane groups of at
+    // least BITPLANE_MIN_BATCH requests on the bitplane path and
+    // smaller ones per image.
+    let server = Server::start(packed, ServeConfig::new());
     let handle = server.handle();
     let served: Vec<usize> = std::thread::scope(|scope| {
         let clients: Vec<_> = images
-            .chunks(12)
+            .chunks(4)
             .map(|chunk| {
                 let h = handle.clone();
                 scope.spawn(move || -> Vec<usize> {
@@ -85,10 +90,10 @@ fn main() {
             .flat_map(|c| c.join().expect("client thread"))
             .collect()
     });
-    assert_eq!(served, reference, "served == offline, backend-independent");
+    assert_eq!(served, reference, "served == scalar oracle");
     let stats = server.stats();
     println!(
-        "served {} images in {} micro-batches ({} on the bitplane path)",
+        "served {} images in {} micro-batches ({} on the bitplane path, from {BITPLANE_MIN_BATCH} requests)",
         stats.served, stats.batches, stats.bitplane_batches
     );
 }

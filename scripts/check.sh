@@ -19,6 +19,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark harness build (benchmark/, its own workspace)"
+# The harness builds the workspace crates through path dependencies, so
+# a public-API change that breaks it must fail here. Build a copy: an
+# in-place offline build would rewrite benchmark/Cargo.lock, and this
+# step must never write under benchmark/. The symlinks give the copied
+# manifest the same ../crates and ../vendor paths and the root workspace
+# manifest the crates inherit their package fields from.
+perfbench_dir="$(mktemp -d)"
+trap 'rm -rf "$perfbench_dir"' EXIT
+mkdir "$perfbench_dir/benchmark"
+cp -r benchmark/Cargo.toml benchmark/Cargo.lock benchmark/src "$perfbench_dir/benchmark/"
+for link in Cargo.toml crates vendor; do
+  ln -s "$PWD/$link" "$perfbench_dir/$link"
+done
+cargo build --release --offline --quiet \
+  --manifest-path "$perfbench_dir/benchmark/Cargo.toml" --target-dir target/perfbench
+
 echo "==> bench metrics smoke run"
 # Capture, then grep: grep -q on a pipe would close it early and the
 # binary's println! would die on SIGPIPE.
